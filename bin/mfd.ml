@@ -269,7 +269,16 @@ let run_cmd =
         end
         else begin
           Format.printf "%s: %a@." name Mulop.pp_outcome outcome;
-          if stats then Format.printf "%a@." Stats.pp run_stats;
+          if stats then begin
+            Format.printf "%a@." Stats.pp run_stats;
+            let c = Bdd.counters m in
+            Format.printf
+              "bdd: computed table %d lookups, %d hits (%.1f%%); %d nodes \
+               inserted, %d peak; %d table resizes@."
+              c.Bdd.cache_lookups c.Bdd.cache_hits
+              (100. *. float c.Bdd.cache_hits /. float (max 1 c.Bdd.cache_lookups))
+              c.Bdd.unique_inserts c.Bdd.peak_nodes c.Bdd.resizes
+          end;
           (match verified with
           | Some true ->
               Format.printf "verify: OK (network realizes the specification)@."

@@ -1,41 +1,38 @@
-type t = { id : int; node : node }
-
-and node =
+(* Constants are immediates and an internal node is a single block, so
+   the unique table holds plain pointers and hash consing makes physical
+   equality coincide with functional equality inside one manager. *)
+type t =
   | Zero
   | One
-  | Node of { v : int; lo : t; hi : t }
+  | Node of { id : int; v : int; lo : t; hi : t }
 
-(* Keys of the unique table: (variable, id of lo child, id of hi child). *)
-module Unique_key = struct
-  type t = int * int * int
-
-  let equal (a1, b1, c1) (a2, b2, c2) = a1 = a2 && b1 = b2 && c1 = c2
-  let hash (a, b, c) = (a * 0x9e3779b1) lxor (b * 0x85ebca6b) lxor (c * 0xc2b2ae35)
-end
-
-module Unique_table = Hashtbl.Make (Unique_key)
-
-module Op_key = struct
-  type t = int * int * int
-
-  let equal (a1, b1, c1) (a2, b2, c2) = a1 = a2 && b1 = b2 && c1 = c2
-  let hash (a, b, c) = (a * 0x27d4eb2f) lxor (b * 0x9e3779b1) lxor (c * 0x85ebca6b)
-end
-
-module Op_cache = Hashtbl.Make (Op_key)
+type counters = {
+  cache_lookups : int;
+  cache_hits : int;
+  unique_inserts : int;
+  peak_nodes : int;
+  resizes : int;
+}
 
 type manager = {
   mutable next_id : int;
-  unique : t Unique_table.t;
-  bzero : t;
-  bone : t;
-  (* (op_code, id1, id2) -> result.  ITE uses a separate cache because its
-     key has three node ids. *)
-  binop_cache : t Op_cache.t;
-  ite_cache : t Op_cache.t;
-  not_cache : (int, t) Hashtbl.t;
-  (* (f.id, var*2 + bool) -> cofactor *)
-  restrict_cache : t Op_cache.t;
+  (* Unique table: open addressing with linear probing over node
+     pointers, [Zero] marking an empty slot (constants are never
+     stored, and variable indices play no part in the empty test, so
+     every [int] is a valid index).  Load stays at most 1/2. *)
+  mutable unique : t array;
+  mutable live : int;
+  (* Computed table shared by and/or/xor/not/ite/restrict/disjoint:
+     direct mapped and lossy.  Slot [i] caches the result [cres.(i)] of
+     the key [(ck1.(i), ck2.(i), ck3.(i))]; the operation's tag is
+     folded into the third key (see [tag_*]).  [ck1] is always a node
+     id, so [-1] marks an empty slot.  A lost entry only costs a
+     recomputation: every intermediate result is still in the unique
+     table, so the recomputation returns the same nodes. *)
+  mutable ck1 : int array;
+  mutable ck2 : int array;
+  mutable ck3 : int array;
+  mutable cres : t array;
   (* node id -> sorted support, memoized for the node's lifetime *)
   support_cache : (int, int list) Hashtbl.t;
   (* node id -> canonical 16-byte fingerprint, memoized for the node's
@@ -43,215 +40,312 @@ type manager = {
   fingerprint_cache : (int, string) Hashtbl.t;
   (* Resource-governor hook: called with the live node count once every
      [growth_interval] fresh allocations.  May raise to abort the
-     current operation; the unique table and all caches only ever hold
-     completed results, so an abort cannot corrupt the manager. *)
+     current operation; a node enters the unique table before the hook
+     runs and the computed table only ever receives completed results,
+     so an abort cannot corrupt the manager. *)
   mutable growth_hook : (int -> unit) option;
   mutable growth_tick : int;
+  mutable lookups : int;
+  mutable hits : int;
+  mutable resizes : int;
 }
 
 let growth_interval = 1024
 
-let manager ?(cache_size = 4096) () =
+(* The computed table doubles while the live node count exceeds twice
+   its size, up to this many entries. *)
+let max_cache = 1 lsl 18
+
+(* Third-key tags.  ITE stores the id of its third operand there, which
+   is never negative, so the tags cannot collide with it. *)
+let tag_and = -1
+let tag_or = -2
+let tag_xor = -3
+let tag_not = -4
+let tag_disjoint = -5
+let tag_restrict0 = -6
+let tag_restrict1 = -7
+
+let hash3 a b c =
+  let h = (a * 0x9e3779b1) + (b * 0x85ebca6b) + (c * 0xc2b2ae35) in
+  h lxor (h lsr 17)
+
+let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
+
+let manager ?(cache_size = 256) () =
+  let size = pow2_at_least (max 1 cache_size) 1 in
   {
     next_id = 2;
-    unique = Unique_table.create cache_size;
-    bzero = { id = 0; node = Zero };
-    bone = { id = 1; node = One };
-    binop_cache = Op_cache.create cache_size;
-    ite_cache = Op_cache.create cache_size;
-    not_cache = Hashtbl.create cache_size;
-    restrict_cache = Op_cache.create cache_size;
-    support_cache = Hashtbl.create cache_size;
-    fingerprint_cache = Hashtbl.create cache_size;
+    unique = Array.make (2 * size) Zero;
+    live = 0;
+    ck1 = Array.make size (-1);
+    ck2 = Array.make size 0;
+    ck3 = Array.make size 0;
+    cres = Array.make size Zero;
+    support_cache = Hashtbl.create 64;
+    fingerprint_cache = Hashtbl.create 64;
     growth_hook = None;
     growth_tick = growth_interval;
+    lookups = 0;
+    hits = 0;
+    resizes = 0;
   }
 
 let set_growth_hook m hook =
   m.growth_hook <- hook;
   m.growth_tick <- growth_interval
 
-let clear_caches m =
-  Op_cache.reset m.binop_cache;
-  Op_cache.reset m.ite_cache;
-  Hashtbl.reset m.not_cache;
-  Op_cache.reset m.restrict_cache
+let clear_caches m = Array.fill m.ck1 0 (Array.length m.ck1) (-1)
 
-let node_count m = Unique_table.length m.unique
-let zero m = m.bzero
-let one m = m.bone
-let equal a b = a.id = b.id
-let compare a b = Stdlib.compare a.id b.id
-let hash a = a.id
-let id a = a.id
-let is_zero a = a.id = 0
-let is_one a = a.id = 1
-let is_const a = a.id < 2
+let node_count m = m.live
 
-let view a =
-  match a.node with
+let counters m =
+  {
+    cache_lookups = m.lookups;
+    cache_hits = m.hits;
+    unique_inserts = m.live;
+    peak_nodes = m.live;
+    resizes = m.resizes;
+  }
+
+let zero _ = Zero
+let one _ = One
+let id = function Zero -> 0 | One -> 1 | Node n -> n.id
+let equal a b = a == b
+let compare a b = Int.compare (id a) (id b)
+let hash = id
+let is_zero a = a == Zero
+let is_one a = a == One
+let is_const = function Zero | One -> true | Node _ -> false
+
+let view = function
   | Zero -> `Zero
   | One -> `One
-  | Node { v; lo; hi } -> `Node (v, lo, hi)
+  | Node { v; lo; hi; _ } -> `Node (v, lo, hi)
 
-let top_var a =
-  match a.node with
+let top_var = function
   | Node { v; _ } -> v
   | Zero | One -> invalid_arg "Bdd.top_var: constant"
 
+(* Helpers of the recursive operations: the level of a node (constants
+   sort below every variable) and its cofactors at level [v]. *)
+let level = function Node { v; _ } -> v | Zero | One -> max_int
+
+let cof_lo f v =
+  match f with Node n when n.v = v -> n.lo | Zero | One | Node _ -> f
+
+let cof_hi f v =
+  match f with Node n when n.v = v -> n.hi | Zero | One | Node _ -> f
+
+(* {2 Computed table} *)
+
+(* Returned by [cache_find] on a miss; never a valid result. *)
+let miss = Node { id = -1; v = 0; lo = Zero; hi = Zero }
+
+let cache_find m k1 k2 k3 =
+  m.lookups <- m.lookups + 1;
+  let i = hash3 k1 k2 k3 land (Array.length m.ck1 - 1) in
+  if m.ck1.(i) = k1 && m.ck2.(i) = k2 && m.ck3.(i) = k3 then begin
+    m.hits <- m.hits + 1;
+    m.cres.(i)
+  end
+  else miss
+
+let cache_add m k1 k2 k3 r =
+  let i = hash3 k1 k2 k3 land (Array.length m.ck1 - 1) in
+  m.ck1.(i) <- k1;
+  m.ck2.(i) <- k2;
+  m.ck3.(i) <- k3;
+  m.cres.(i) <- r
+
+let grow_cache m =
+  let o1 = m.ck1 and o2 = m.ck2 and o3 = m.ck3 and ores = m.cres in
+  let size = 2 * Array.length o1 in
+  m.ck1 <- Array.make size (-1);
+  m.ck2 <- Array.make size 0;
+  m.ck3 <- Array.make size 0;
+  m.cres <- Array.make size Zero;
+  m.resizes <- m.resizes + 1;
+  Array.iteri
+    (fun i k1 -> if k1 >= 0 then cache_add m k1 o2.(i) o3.(i) ores.(i))
+    o1
+
+(* {2 Unique table} *)
+
+let slot_of tab v lo hi = hash3 v (id lo) (id hi) land (Array.length tab - 1)
+
+(* The slot holding [(v, lo, hi)], or the empty slot where it belongs. *)
+let rec probe tab i v lo hi =
+  match tab.(i) with
+  | Zero -> i
+  | Node n when n.v = v && n.lo == lo && n.hi == hi -> i
+  | One | Node _ -> probe tab ((i + 1) land (Array.length tab - 1)) v lo hi
+
+let grow_unique m =
+  let old = m.unique in
+  let tab = Array.make (2 * Array.length old) Zero in
+  Array.iter
+    (function
+      | Node { v; lo; hi; _ } as x -> tab.(probe tab (slot_of tab v lo hi) v lo hi) <- x
+      | Zero | One -> ())
+    old;
+  m.unique <- tab;
+  m.resizes <- m.resizes + 1
+
 (* The single constructor maintaining reduction and sharing. *)
 let mk m v lo hi =
-  if lo.id = hi.id then lo
+  if lo == hi then lo
   else
-    let key = (v, lo.id, hi.id) in
-    match Unique_table.find_opt m.unique key with
-    | Some n -> n
-    | None ->
-        let n = { id = m.next_id; node = Node { v; lo; hi } } in
+    let tab = m.unique in
+    let i = probe tab (slot_of tab v lo hi) v lo hi in
+    match tab.(i) with
+    | Node _ as x -> x
+    | Zero | One ->
+        let x = Node { id = m.next_id; v; lo; hi } in
         m.next_id <- m.next_id + 1;
-        Unique_table.add m.unique key n;
+        tab.(i) <- x;
+        m.live <- m.live + 1;
+        if 2 * m.live > Array.length tab then grow_unique m;
+        if m.live > 2 * Array.length m.ck1 && Array.length m.ck1 < max_cache then
+          grow_cache m;
         m.growth_tick <- m.growth_tick - 1;
         if m.growth_tick <= 0 then begin
           m.growth_tick <- growth_interval;
-          match m.growth_hook with
-          | Some hook -> hook (Unique_table.length m.unique)
-          | None -> ()
+          match m.growth_hook with Some hook -> hook m.live | None -> ()
         end;
-        n
+        x
 
-let var m i = mk m i m.bzero m.bone
+let var m i = mk m i Zero One
 
-let nvar m i = mk m i m.bone m.bzero
+let nvar m i = mk m i One Zero
 
 let not_ m f =
   let rec go f =
-    match f.node with
-    | Zero -> m.bone
-    | One -> m.bzero
-    | Node { v; lo; hi } -> (
-        match Hashtbl.find_opt m.not_cache f.id with
-        | Some r -> r
-        | None ->
-            let r = mk m v (go lo) (go hi) in
-            Hashtbl.add m.not_cache f.id r;
-            r)
+    match f with
+    | Zero -> One
+    | One -> Zero
+    | Node n ->
+        let r = cache_find m n.id 0 tag_not in
+        if r != miss then r
+        else begin
+          let r = mk m n.v (go n.lo) (go n.hi) in
+          cache_add m n.id 0 tag_not r;
+          r
+        end
   in
   go f
 
-(* Binary operations via Shannon expansion with terminal cases per op. *)
-type binop = Op_and | Op_or | Op_xor
+(* Binary operations via Shannon expansion.  [terminal] answers the
+   constant cases of the operation [tag], or [miss]. *)
+let terminal m tag f g =
+  if tag = tag_and then
+    if f == Zero || g == Zero then Zero
+    else if f == One || f == g then g
+    else if g == One then f
+    else miss
+  else if tag = tag_or then
+    if f == One || g == One then One
+    else if f == Zero || f == g then g
+    else if g == Zero then f
+    else miss
+  else if f == Zero then g
+  else if g == Zero then f
+  else if f == g then Zero
+  else if f == One then not_ m g
+  else if g == One then not_ m f
+  else miss
 
-let binop_code = function Op_and -> 0 | Op_or -> 1 | Op_xor -> 2
-
-let apply m op =
-  let code = binop_code op in
-  let terminal f g =
-    match op with
-    | Op_and ->
-        if f.id = 0 || g.id = 0 then Some m.bzero
-        else if f.id = 1 then Some g
-        else if g.id = 1 then Some f
-        else if f.id = g.id then Some f
-        else None
-    | Op_or ->
-        if f.id = 1 || g.id = 1 then Some m.bone
-        else if f.id = 0 then Some g
-        else if g.id = 0 then Some f
-        else if f.id = g.id then Some f
-        else None
-    | Op_xor ->
-        if f.id = 0 then Some g
-        else if g.id = 0 then Some f
-        else if f.id = g.id then Some m.bzero
-        else if f.id = 1 then Some (not_ m g)
-        else if g.id = 1 then Some (not_ m f)
-        else None
-  in
+let apply m tag =
   let rec go f g =
-    match terminal f g with
-    | Some r -> r
-    | None -> (
-        (* Commutative ops: normalize the key. *)
-        let a, b = if f.id <= g.id then (f, g) else (g, f) in
-        let key = (code, a.id, b.id) in
-        match Op_cache.find_opt m.binop_cache key with
-        | Some r -> r
-        | None ->
-            let split x v =
-              match x.node with
-              | Node { v = xv; lo; hi } when xv = v -> (lo, hi)
-              | Zero | One | Node _ -> (x, x)
-            in
-            let v =
-              match (a.node, b.node) with
-              | Node { v = va; _ }, Node { v = vb; _ } -> min va vb
-              | Node { v = va; _ }, (Zero | One) -> va
-              | (Zero | One), Node { v = vb; _ } -> vb
-              | (Zero | One), (Zero | One) -> assert false
-            in
-            let alo, ahi = split a v and blo, bhi = split b v in
-            let r = mk m v (go alo blo) (go ahi bhi) in
-            Op_cache.add m.binop_cache key r;
-            r)
+    let r = terminal m tag f g in
+    if r != miss then r
+    else
+      (* Commutative ops: normalize the key. *)
+      let ka = min (id f) (id g) and kb = max (id f) (id g) in
+      let r = cache_find m ka kb tag in
+      if r != miss then r
+      else begin
+        let v = min (level f) (level g) in
+        let r =
+          mk m v (go (cof_lo f v) (cof_lo g v)) (go (cof_hi f v) (cof_hi g v))
+        in
+        cache_add m ka kb tag r;
+        r
+      end
   in
   go
 
-let and_ m f g = apply m Op_and f g
-let or_ m f g = apply m Op_or f g
-let xor m f g = apply m Op_xor f g
+let and_ m f g = apply m tag_and f g
+let or_ m f g = apply m tag_or f g
+let xor m f g = apply m tag_xor f g
 let nand m f g = not_ m (and_ m f g)
 let nor m f g = not_ m (or_ m f g)
 let xnor m f g = not_ m (xor m f g)
 let imp m f g = or_ m (not_ m f) g
 let diff m f g = and_ m f (not_ m g)
 
+let disjoint m f g =
+  let rec go f g =
+    if f == Zero || g == Zero then true
+    else if f == One || g == One || f == g then false
+    else
+      let ka = min (id f) (id g) and kb = max (id f) (id g) in
+      let r = cache_find m ka kb tag_disjoint in
+      if r != miss then r == One
+      else begin
+        let v = min (level f) (level g) in
+        let d =
+          go (cof_lo f v) (cof_lo g v) && go (cof_hi f v) (cof_hi g v)
+        in
+        cache_add m ka kb tag_disjoint (if d then One else Zero);
+        d
+      end
+  in
+  go f g
+
 let ite m f g h =
   let rec go f g h =
-    if f.id = 1 then g
-    else if f.id = 0 then h
-    else if g.id = h.id then g
-    else if g.id = 1 && h.id = 0 then f
-    else if g.id = 0 && h.id = 1 then not_ m f
+    if f == One then g
+    else if f == Zero then h
+    else if g == h then g
+    else if g == One && h == Zero then f
+    else if g == Zero && h == One then not_ m f
     else
-      let key = (f.id, g.id, h.id) in
-      match Op_cache.find_opt m.ite_cache key with
-      | Some r -> r
-      | None ->
-          let topv x acc =
-            match x.node with Node { v; _ } -> min v acc | Zero | One -> acc
-          in
-          let v = topv f (topv g (topv h max_int)) in
-          let split x =
-            match x.node with
-            | Node { v = xv; lo; hi } when xv = v -> (lo, hi)
-            | Zero | One | Node _ -> (x, x)
-          in
-          let flo, fhi = split f and glo, ghi = split g and hlo, hhi = split h in
-          let r = mk m v (go flo glo hlo) (go fhi ghi hhi) in
-          Op_cache.add m.ite_cache key r;
-          r
+      let kf = id f and kg = id g and kh = id h in
+      let r = cache_find m kf kg kh in
+      if r != miss then r
+      else begin
+        let v = min (level f) (min (level g) (level h)) in
+        let r =
+          mk m v
+            (go (cof_lo f v) (cof_lo g v) (cof_lo h v))
+            (go (cof_hi f v) (cof_hi g v) (cof_hi h v))
+        in
+        cache_add m kf kg kh r;
+        r
+      end
   in
   go f g h
 
-let and_list m fs = List.fold_left (and_ m) m.bone fs
-let or_list m fs = List.fold_left (or_ m) m.bzero fs
+let and_list m fs = List.fold_left (and_ m) One fs
+let or_list m fs = List.fold_left (or_ m) Zero fs
 
 let restrict m f v b =
-  let tag = (v * 2) + if b then 1 else 0 in
+  let tag = if b then tag_restrict1 else tag_restrict0 in
   let rec go f =
-    match f.node with
+    match f with
     | Zero | One -> f
-    | Node { v = fv; lo; hi } ->
-        if fv > v then f
-        else if fv = v then if b then hi else lo
+    | Node n ->
+        if n.v > v then f
+        else if n.v = v then if b then n.hi else n.lo
         else
-          let key = (f.id, tag, -1) in
-          (match Op_cache.find_opt m.restrict_cache key with
-          | Some r -> r
-          | None ->
-              let r = mk m fv (go lo) (go hi) in
-              Op_cache.add m.restrict_cache key r;
-              r)
+          let r = cache_find m n.id v tag in
+          if r != miss then r
+          else begin
+            let r = mk m n.v (go n.lo) (go n.hi) in
+            cache_add m n.id v tag r;
+            r
+          end
   in
   go f
 
@@ -290,14 +384,14 @@ let support m f =
         else x :: merge xs ys
   in
   let rec go f =
-    match f.node with
+    match f with
     | Zero | One -> []
-    | Node { v; lo; hi } -> (
-        match Hashtbl.find_opt m.support_cache f.id with
+    | Node { id; v; lo; hi } -> (
+        match Hashtbl.find_opt m.support_cache id with
         | Some s -> s
         | None ->
             let s = merge [ v ] (merge (go lo) (go hi)) in
-            Hashtbl.add m.support_cache f.id s;
+            Hashtbl.add m.support_cache id s;
             s)
   in
   go f
@@ -305,14 +399,14 @@ let support m f =
 let depends_on f v =
   let seen = Hashtbl.create 64 in
   let rec go f =
-    match f.node with
+    match f with
     | Zero | One -> false
-    | Node { v = fv; lo; hi } ->
+    | Node { id; v = fv; lo; hi } ->
         if fv > v then false
         else if fv = v then true
-        else if Hashtbl.mem seen f.id then false
+        else if Hashtbl.mem seen id then false
         else begin
-          Hashtbl.add seen f.id ();
+          Hashtbl.add seen id ();
           go lo || go hi
         end
   in
@@ -322,11 +416,11 @@ let size_list fs =
   let seen = Hashtbl.create 64 in
   let count = ref 0 in
   let rec go f =
-    match f.node with
+    match f with
     | Zero | One -> ()
-    | Node { lo; hi; _ } ->
-        if not (Hashtbl.mem seen f.id) then begin
-          Hashtbl.add seen f.id ();
+    | Node { id; lo; hi; _ } ->
+        if not (Hashtbl.mem seen id) then begin
+          Hashtbl.add seen id ();
           incr count;
           go lo;
           go hi
@@ -363,14 +457,14 @@ let rename m f pi =
      [pi] is not monotone.  Memoized per (function, this call). *)
   let cache = Hashtbl.create 64 in
   let rec go f =
-    match f.node with
+    match f with
     | Zero | One -> f
-    | Node { v; lo; hi } -> (
-        match Hashtbl.find_opt cache f.id with
+    | Node { id; v; lo; hi } -> (
+        match Hashtbl.find_opt cache id with
         | Some r -> r
         | None ->
             let r = ite m (var m (pi v)) (go hi) (go lo) in
-            Hashtbl.add cache f.id r;
+            Hashtbl.add cache id r;
             r)
   in
   go f
@@ -393,11 +487,11 @@ let one_fp = Digest.string "mfd-bdd-one"
 let fingerprint m f =
   let buf = Buffer.create 40 in
   let rec go f =
-    match f.node with
+    match f with
     | Zero -> zero_fp
     | One -> one_fp
-    | Node { v; lo; hi } -> (
-        match Hashtbl.find_opt m.fingerprint_cache f.id with
+    | Node { id; v; lo; hi } -> (
+        match Hashtbl.find_opt m.fingerprint_cache id with
         | Some fp -> fp
         | None ->
             let flo = go lo in
@@ -408,12 +502,12 @@ let fingerprint m f =
             Buffer.add_string buf flo;
             Buffer.add_string buf fhi;
             let fp = Digest.string (Buffer.contents buf) in
-            Hashtbl.add m.fingerprint_cache f.id fp;
+            Hashtbl.add m.fingerprint_cache id fp;
             fp)
   in
   go f
 
-let equal_on m ~care f g = is_zero (and_ m care (xor m f g))
+let equal_on m ~care f g = disjoint m care (xor m f g)
 
 let miter m pairs = or_list m (List.map (fun (f, g) -> xor m f g) pairs)
 
@@ -423,52 +517,52 @@ let sat_count m f ~nvars =
   let rec go f =
     (* Number of satisfying assignments of the variables strictly below
        the top of [f], counted relative to the top variable level. *)
-    match f.node with
+    match f with
     | Zero -> 0.0
     | One -> 1.0
-    | Node { v; lo; hi } -> (
-        match Hashtbl.find_opt cache f.id with
+    | Node { id; v; lo; hi } -> (
+        match Hashtbl.find_opt cache id with
         | Some r -> r
         | None ->
             let weight g =
               let level_gap =
-                match g.node with
+                match g with
                 | Node { v = gv; _ } -> gv - v - 1
                 | Zero | One -> nvars - v - 1
               in
               go g *. (2.0 ** float_of_int level_gap)
             in
             let r = weight lo +. weight hi in
-            Hashtbl.add cache f.id r;
+            Hashtbl.add cache id r;
             r)
   in
-  match f.node with
+  match f with
   | Zero -> 0.0
   | One -> 2.0 ** float_of_int nvars
   | Node { v; _ } -> go f *. (2.0 ** float_of_int v)
 
 let eval f assignment =
   let rec go f =
-    match f.node with
+    match f with
     | Zero -> false
     | One -> true
-    | Node { v; lo; hi } -> if assignment v then go hi else go lo
+    | Node { v; lo; hi; _ } -> if assignment v then go hi else go lo
   in
   go f
 
 let any_sat f =
   let rec go f acc =
-    match f.node with
+    match f with
     | Zero -> raise Not_found
     | One -> List.rev acc
-    | Node { v; lo; hi } ->
-        if lo.id <> 0 then go lo ((v, false) :: acc) else go hi ((v, true) :: acc)
+    | Node { v; lo; hi; _ } ->
+        if lo != Zero then go lo ((v, false) :: acc) else go hi ((v, true) :: acc)
   in
   go f []
 
 let random m ~nvars ~density st =
   let rec go v =
-    if v = nvars then if Random.State.float st 1.0 < density then m.bone else m.bzero
+    if v = nvars then if Random.State.float st 1.0 < density then One else Zero
     else mk m v (go (v + 1)) (go (v + 1))
   in
   go 0
@@ -539,27 +633,27 @@ let minterm_of_code m vars code =
   and_list m lits
 
 let rec pp fmt f =
-  match f.node with
+  match f with
   | Zero -> Format.fprintf fmt "0"
   | One -> Format.fprintf fmt "1"
-  | Node { v; lo; hi } -> Format.fprintf fmt "(x%d ? %a : %a)" v pp hi pp lo
+  | Node { v; lo; hi; _ } -> Format.fprintf fmt "(x%d ? %a : %a)" v pp hi pp lo
 
 let to_dot ?(name = "bdd") fs =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
   let seen = Hashtbl.create 64 in
   let rec go f =
-    if not (Hashtbl.mem seen f.id) then begin
-      Hashtbl.add seen f.id ();
-      match f.node with
+    if not (Hashtbl.mem seen (id f)) then begin
+      Hashtbl.add seen (id f) ();
+      match f with
       | Zero -> Buffer.add_string buf "  n0 [shape=box,label=\"0\"];\n"
       | One -> Buffer.add_string buf "  n1 [shape=box,label=\"1\"];\n"
-      | Node { v; lo; hi } ->
+      | Node { v; lo; hi; _ } ->
           Buffer.add_string buf
-            (Printf.sprintf "  n%d [label=\"x%d\"];\n" f.id v);
+            (Printf.sprintf "  n%d [label=\"x%d\"];\n" (id f) v);
           Buffer.add_string buf
-            (Printf.sprintf "  n%d -> n%d [style=dashed];\n" f.id lo.id);
-          Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" f.id hi.id);
+            (Printf.sprintf "  n%d -> n%d [style=dashed];\n" (id f) (id lo));
+          Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" (id f) (id hi));
           go lo;
           go hi
     end
@@ -569,7 +663,7 @@ let to_dot ?(name = "bdd") fs =
     (fun i f ->
       Buffer.add_string buf
         (Printf.sprintf "  f%d [shape=plaintext,label=\"f%d\"];\n  f%d -> n%d;\n"
-           i i i f.id))
+           i i i (id f)))
     fs;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

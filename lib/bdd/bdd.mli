@@ -27,8 +27,15 @@ type t
 (** A BDD node, tied to the manager that created it. *)
 
 val manager : ?cache_size:int -> unit -> manager
-(** Create a fresh manager. [cache_size] is the initial size of the
-    operation caches (default 4096). *)
+(** Create a fresh manager.  [cache_size] (default 256, rounded up to a
+    power of two) is the initial number of entries of the computed
+    table, the lossy direct-mapped memo shared by [and_], [or_], [xor],
+    [not_], [ite], [restrict] and [disjoint]; the unique table starts
+    at twice that.  Both grow on their own: the unique table doubles to
+    keep its load at most 1/2, the computed table doubles while the live
+    node count exceeds twice its size, up to 2^18 entries.  A lost
+    computed-table entry only costs a recomputation, never a different
+    node: results are canonical whatever the size. *)
 
 val clear_caches : manager -> unit
 (** Drop all memoized operation results (the unique table is kept, so
@@ -37,14 +44,27 @@ val clear_caches : manager -> unit
 val node_count : manager -> int
 (** Total number of live internal nodes in the unique table. *)
 
+type counters = {
+  cache_lookups : int;  (** computed-table probes *)
+  cache_hits : int;  (** probes that found their key *)
+  unique_inserts : int;  (** nodes created *)
+  peak_nodes : int;
+      (** most live nodes at any time; nodes are never collected, so
+          this equals [unique_inserts] and {!node_count} *)
+  resizes : int;  (** doublings of the unique and computed tables *)
+}
+
+val counters : manager -> counters
+(** Work counters of the manager since its creation. *)
+
 val set_growth_hook : manager -> (int -> unit) option -> unit
 (** Install (or remove, with [None]) a resource-governor hook: it is
     called with the live node count once every ~1000 fresh node
     allocations, i.e. at operation boundaries of the recursive apply
     procedures.  The hook may raise to abort the operation in progress;
-    this is safe, because the unique table and the operation caches only
-    ever record completed results — an abort leaves the manager fully
-    usable.  Used by [Decomp.Budget] to enforce node budgets and
+    this is safe, because a node enters the unique table before the
+    hook runs and the computed table only ever records completed
+    results — an abort leaves the manager fully usable and canonical.  Used by [Decomp.Budget] to enforce node budgets and
     wall-clock deadlines. *)
 
 (** {1 Constants and variables} *)
@@ -52,11 +72,11 @@ val set_growth_hook : manager -> (int -> unit) option -> unit
 val zero : manager -> t
 val one : manager -> t
 val var : manager -> int -> t
-(** [var m i] is the projection function of variable [i].  Indices are
-    arbitrary integers; the variable order is their numeric order
-    (smaller = closer to the root).  Negative indices are how the
-    decomposition driver places fresh variables {e above} the primary
-    inputs. *)
+(** [var m i] is the projection function of variable [i].  Any [int] is
+    a valid index, negative ones included; the variable order is their
+    numeric order (smaller = closer to the root).  Negative indices are
+    how the decomposition driver places fresh variables {e above} the
+    primary inputs. *)
 
 val nvar : manager -> int -> t
 (** [nvar m i] is the complement of variable [i]. *)
@@ -91,6 +111,10 @@ val xnor : manager -> t -> t -> t
 val imp : manager -> t -> t -> t
 val diff : manager -> t -> t -> t
 (** [diff m f g] is [f /\ not g]. *)
+
+val disjoint : manager -> t -> t -> bool
+(** [disjoint m f g] is [is_zero (and_ m f g)], decided without building
+    any node (the answers are memoized in the computed table). *)
 
 val ite : manager -> t -> t -> t -> t
 val and_list : manager -> t list -> t

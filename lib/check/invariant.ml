@@ -1,7 +1,7 @@
 let finding ?loc code msg = Some (Diagnostic.make ?loc code msg)
 
 let well_formed_parts m ~where ~on ~dc =
-  if Bdd.is_zero (Bdd.and_ m on dc) then None
+  if Bdd.disjoint m on dc then None
   else finding ~loc:where "DEC001" "on-set and don't-care set intersect"
 
 (* fine refines coarse: on(coarse) <= on(fine) and off(coarse) <= off(fine),

@@ -10,10 +10,8 @@ let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
   let relevant =
     List.filter_map
       (fun f ->
-        let overlap =
-          List.length
-            (List.filter (fun v -> List.mem v (Isf.support m f)) bound)
-        in
+        let sup = Isf.support m f in
+        let overlap = List.length (List.filter (fun v -> List.mem v sup) bound) in
         if overlap = 0 then None else Some (f, overlap))
       isfs
   in
@@ -25,14 +23,13 @@ let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
      whole selection. *)
   if relevant = [] then worst
   else begin
-    let key () =
-      Score_cache.score_key m ~lut_size ~cost (List.map fst relevant) bound
+    let keyed =
+      Option.map
+        (fun c ->
+          (c, Score_cache.score_key m ~lut_size ~cost (List.map fst relevant) bound))
+        cache
     in
-    let memo =
-      match cache with
-      | Some c -> Score_cache.find_score c (key ())
-      | None -> None
-    in
+    let memo = Option.bind keyed (fun (c, key) -> Score_cache.find_score c key) in
     match memo with
     | Some s ->
         stats.Stats.score_hits <- stats.Stats.score_hits + 1;
@@ -96,9 +93,7 @@ let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
            ordering collapses to the classical pair), the arrival time
            of the would-be decomposition functions under Delay. *)
         let result = Cost.triple cost ~bound pair in
-        (match cache with
-        | Some c -> Score_cache.add_score c (key ()) result
-        | None -> ());
+        Option.iter (fun (c, key) -> Score_cache.add_score c key result) keyed;
         result
   end
 

@@ -304,8 +304,9 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
   let attempt primary region =
     let cfg = dcfg () in
     let participates it =
-      List.exists (fun v -> List.mem v region) (Isf.support m it.isf)
-      && support_size it > cfg.Config.lut_size
+      let sup = Isf.support m it.isf in
+      List.exists (fun v -> List.mem v region) sup
+      && List.length sup > cfg.Config.lut_size
     in
     let participants, others = List.partition participates !worklist in
     let participants = Array.of_list participants in
@@ -318,10 +319,11 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
       let limit = 14 in
       if List.length region <= limit then region
       else begin
+        let supports = Array.map (Isf.support m) isfs in
         let frequency v =
           Array.fold_left
-            (fun acc f -> if List.mem v (Isf.support m f) then acc + 1 else acc)
-            0 isfs
+            (fun acc sup -> if List.mem v sup then acc + 1 else acc)
+            0 supports
         in
         region
         |> List.map (fun v -> (-frequency v, v))

@@ -1,7 +1,7 @@
 type t = { on : Bdd.t; dc : Bdd.t }
 
 let make m ~on ~dc =
-  if not (Bdd.is_zero (Bdd.and_ m on dc)) then
+  if not (Bdd.disjoint m on dc) then
     invalid_arg "Isf.make: on-set and dc-set intersect";
   { on; dc }
 
@@ -14,18 +14,17 @@ let care m t = Bdd.not_ m t.dc
 let is_completely_specified t = Bdd.is_zero t.dc
 
 let of_on_off m ~on ~off =
-  if not (Bdd.is_zero (Bdd.and_ m on off)) then
+  if not (Bdd.disjoint m on off) then
     invalid_arg "Isf.of_on_off: on-set and off-set intersect";
   make m ~on ~dc:(Bdd.nor m on off)
 
 let extends m g t =
-  Bdd.is_zero (Bdd.diff m t.on g) && Bdd.is_zero (Bdd.and_ m g (off m t))
+  Bdd.disjoint m t.on (Bdd.not_ m g) && Bdd.disjoint m g (off m t)
 
 let equal a b = Bdd.equal a.on b.on && Bdd.equal a.dc b.dc
 
 let compatible m a b =
-  Bdd.is_zero (Bdd.and_ m a.on (off m b))
-  && Bdd.is_zero (Bdd.and_ m b.on (off m a))
+  Bdd.disjoint m a.on (off m b) && Bdd.disjoint m b.on (off m a)
 
 let join m a b =
   if not (compatible m a b) then invalid_arg "Isf.join: incompatible";
@@ -57,8 +56,11 @@ let swap_vars m t i j =
 let negate_var m t v =
   make m ~on:(Bdd.negate_var m t.on v) ~dc:(Bdd.negate_var m t.dc v)
 
+(* The off-set is the complement of [on \/ dc], so it has the support of
+   that union. *)
 let support m t =
-  List.sort_uniq Stdlib.compare (Bdd.support m t.on @ Bdd.support m (off m t))
+  List.sort_uniq Stdlib.compare
+    (Bdd.support m t.on @ Bdd.support m (Bdd.or_ m t.on t.dc))
 
 let random_extension m t st =
   if Bdd.is_zero t.dc then t.on

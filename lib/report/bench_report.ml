@@ -48,7 +48,12 @@ type report = {
 
 (* ---- measurement ---- *)
 
+(* [Gc.allocated_bytes] counts minor words, plus major words, minus
+   words promoted from the minor heap.  Emptying the minor heap first
+   keeps objects allocated before the window from being promoted inside
+   it, which would subtract them from this run's figure. *)
 let measure f =
+  Gc.minor ();
   let a0 = Gc.allocated_bytes () in
   let t0 = Mono.now () in
   let result = f () in

@@ -82,7 +82,9 @@ val measure : (unit -> 'a) -> 'a * float * float
 (** [measure f] runs [f] and returns [(result, wall_seconds,
     alloc_bytes)].  Wall time is {!Mono.now}-based; allocation is the
     [Gc.allocated_bytes] delta, which is deterministic for a fixed
-    workload and hence gateable. *)
+    workload and hence gateable.  The minor heap is emptied before the
+    window opens, so the figure does not depend on what the caller
+    allocated before. *)
 
 val created_now : unit -> string
 (** Current UTC time in the {!report.created} format. *)

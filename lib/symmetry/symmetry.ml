@@ -6,17 +6,53 @@ let swap_rel m f ~rel i j =
   let swapped = Bdd.swap_vars m f i j in
   if rel then Bdd.negate_var m (Bdd.negate_var m swapped i) j else swapped
 
+(* Quadrant cofactors [f|x_i=a,x_j=b].  Exchanging the two variables
+   with relative phase [rel] swaps the quadrants 01 and 10 when [rel] is
+   false and 00 and 11 when it is true, and fixes the other two.  So a
+   pair test or merge compares or merges the two exchanged quadrants,
+   [p] and [q], and never builds the exchanged image of the whole
+   function ([swap_rel] stays as the definition the tests check
+   against). *)
+let quadrant m f i j a b = Bdd.restrict m (Bdd.restrict m f i a) j b
+let quad_p m f ~rel i j = quadrant m f i j false (not rel)
+let quad_q m f ~rel i j = quadrant m f i j true rel
+
 let symmetric_pair m fs ~rel i j =
   i <> j
-  && List.for_all (fun f -> Bdd.equal f (swap_rel m f ~rel i j)) fs
+  && List.for_all
+       (fun f -> Bdd.equal (quad_p m f ~rel i j) (quad_q m f ~rel i j))
+       fs
 
+type quads = { on_p : Bdd.t; on_q : Bdd.t; dc_p : Bdd.t; dc_q : Bdd.t }
+
+let quads m f ~rel i j =
+  let on = Isf.on f and dc = Isf.dc f in
+  {
+    on_p = quad_p m on ~rel i j;
+    on_q = quad_q m on ~rel i j;
+    dc_p = quad_p m dc ~rel i j;
+    dc_q = quad_q m dc ~rel i j;
+  }
+
+(* Don't cares can make the exchanged quadrants equal iff no on-minterm
+   of one meets an off-minterm of the other. *)
+let mergeable m q =
+  Bdd.disjoint m q.on_p (Bdd.nor m q.on_q q.dc_q)
+  && Bdd.disjoint m q.on_q (Bdd.nor m q.on_p q.dc_p)
+
+(* Both exchanged quadrants become the union of their on-sets and the
+   intersection of their dc-sets; the fixed quadrants keep theirs. *)
 let symmetrize_one m f ~rel i j =
-  let sigma g = swap_rel m g ~rel i j in
-  let on = Isf.on f and off = Isf.off m f in
-  let on' = Bdd.or_ m on (sigma on) in
-  let off' = Bdd.or_ m off (sigma off) in
-  if Bdd.is_zero (Bdd.and_ m on' off') then Some (Isf.of_on_off m ~on:on' ~off:off')
-  else None
+  let q = quads m f ~rel i j in
+  if Bdd.equal q.on_p q.on_q && Bdd.equal q.dc_p q.dc_q then Some f
+  else if not (mergeable m q) then None
+  else
+    let exchanged =
+      (if rel then Bdd.xnor else Bdd.xor) m (Bdd.var m i) (Bdd.var m j)
+    in
+    let on = Bdd.ite m exchanged (Bdd.or_ m q.on_p q.on_q) (Isf.on f) in
+    let dc = Bdd.ite m exchanged (Bdd.and_ m q.dc_p q.dc_q) (Isf.dc f) in
+    Some (Isf.make m ~on ~dc)
 
 let symmetrize m fs ~rel i j =
   if i = j then None
@@ -31,14 +67,7 @@ let symmetrize m fs ~rel i j =
     go [] fs
 
 let symmetrizable m fs ~rel i j =
-  i <> j
-  && List.for_all
-       (fun f ->
-         let sigma g = swap_rel m g ~rel i j in
-         let on = Isf.on f and off = Isf.off m f in
-         Bdd.is_zero (Bdd.and_ m on (sigma off))
-         && Bdd.is_zero (Bdd.and_ m (sigma on) off))
-       fs
+  i <> j && List.for_all (fun f -> mergeable m (quads m f ~rel i j)) fs
 
 (* Exchange relations induced by the phases of a group: every pair of
    members, with the xor of their phases. *)

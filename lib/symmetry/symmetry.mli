@@ -47,7 +47,10 @@ val partition :
 (** {1 Symmetrization of incompletely specified functions} *)
 
 val swap_rel : Bdd.manager -> Bdd.t -> rel:bool -> int -> int -> Bdd.t
-(** The literal-exchange transform on a completely specified function. *)
+(** The literal-exchange transform on a completely specified function:
+    the definition that {!symmetric_pair}, {!symmetrizable} and
+    {!symmetrize} implement on the two exchanged quadrant cofactors
+    without building this image. *)
 
 val symmetrizable :
   Bdd.manager -> Isf.t list -> rel:bool -> int -> int -> bool

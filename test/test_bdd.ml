@@ -235,6 +235,154 @@ let oracle_props =
           (Bv.of_bdd n (Bdd.compose man (bdd_of_bv a) 0 (bdd_of_bv g_bv))));
   ]
 
+(* Any [int] is a valid variable index: the unique table must not
+   mistake a negative index for an empty slot. *)
+let negative_index_tests =
+  [
+    Alcotest.test_case "negative variable indices stay canonical" `Quick
+      (fun () ->
+        let m = Bdd.manager () in
+        let x = Bdd.var m (-1) in
+        let count = Bdd.node_count m in
+        check_bool "var -1 twice is one node" true (Bdd.equal x (Bdd.var m (-1)));
+        check_int "no duplicate node" count (Bdd.node_count m);
+        let a = Bdd.var m 2 and b = Bdd.var m (-3) in
+        let mux = Bdd.ite m x a b in
+        let sop = Bdd.or_ m (Bdd.and_ m x a) (Bdd.and_ m (Bdd.not_ m x) b) in
+        check_bool "ite = sum of products" true (Bdd.equal mux sop);
+        check_int "smallest index on top" (-3) (Bdd.top_var mux);
+        check_bool "rebuilt ite is the same node" true
+          (Bdd.equal mux (Bdd.ite m (Bdd.var m (-1)) (Bdd.var m 2) (Bdd.var m (-3))));
+        check_bool "restrict on a negative index" true
+          (Bdd.equal (Bdd.restrict m mux (-1) true) a));
+    Alcotest.test_case "counters" `Quick (fun () ->
+        let m = Bdd.manager () in
+        let f = Bdd.and_ m (Bdd.var m 0) (Bdd.var m 1) in
+        ignore (Bdd.and_ m (Bdd.var m 0) (Bdd.var m 1));
+        let c = Bdd.counters m in
+        check_bool "f built" false (Bdd.is_const f);
+        check_int "inserts = nodes" (Bdd.node_count m) c.Bdd.unique_inserts;
+        check_int "peak = nodes" (Bdd.node_count m) c.Bdd.peak_nodes;
+        check_bool "the repeated and_ hit" true
+          (c.Bdd.cache_hits >= 1 && c.Bdd.cache_lookups >= c.Bdd.cache_hits));
+  ]
+
+(* The lossy computed table must never change a result: the same
+   operation sequence on a 16-entry manager (constant eviction and
+   repeated table growth) and on a default one gives the same node ids,
+   the same answers and the oracle's truth tables. *)
+type instr =
+  | I_and of int * int
+  | I_or of int * int
+  | I_xor of int * int
+  | I_not of int
+  | I_ite of int * int * int
+  | I_restrict of int * int * bool
+  | I_disjoint of int * int
+
+let gen_program n =
+  let open QCheck2.Gen in
+  let reg = int_range 0 1000 in
+  let instr =
+    oneof
+      [
+        map2 (fun a b -> I_and (a, b)) reg reg;
+        map2 (fun a b -> I_or (a, b)) reg reg;
+        map2 (fun a b -> I_xor (a, b)) reg reg;
+        map (fun a -> I_not a) reg;
+        map3 (fun a b c -> I_ite (a, b, c)) reg reg reg;
+        map3 (fun a v b -> I_restrict (a, v, b)) reg (int_range 0 (n - 1)) bool;
+        map2 (fun a b -> I_disjoint (a, b)) reg reg;
+      ]
+  in
+  list_size (int_range 1 60) instr
+
+(* Registers start with the variables; every instruction appends its
+   result.  Returns the registers and the disjointness answers. *)
+let run_program m n prog =
+  let regs = ref (Array.init n (Bdd.var m)) in
+  let get i = !regs.(i mod Array.length !regs) in
+  let push f = regs := Array.append !regs [| f |] in
+  let answers =
+    List.filter_map
+      (fun ins ->
+        match ins with
+        | I_and (a, b) -> push (Bdd.and_ m (get a) (get b)); None
+        | I_or (a, b) -> push (Bdd.or_ m (get a) (get b)); None
+        | I_xor (a, b) -> push (Bdd.xor m (get a) (get b)); None
+        | I_not a -> push (Bdd.not_ m (get a)); None
+        | I_ite (a, b, c) -> push (Bdd.ite m (get a) (get b) (get c)); None
+        | I_restrict (a, v, b) -> push (Bdd.restrict m (get a) v b); None
+        | I_disjoint (a, b) ->
+            let d = Bdd.disjoint m (get a) (get b) in
+            let expected = Bdd.is_zero (Bdd.and_ m (get a) (get b)) in
+            Some (d, expected))
+      prog
+  in
+  (!regs, answers)
+
+(* The same program on truth tables. *)
+let run_oracle n prog =
+  let regs = ref (Array.init n (Bv.var n)) in
+  let get i = !regs.(i mod Array.length !regs) in
+  let push f = regs := Array.append !regs [| f |] in
+  List.iter
+    (function
+      | I_and (a, b) -> push (Bv.and_ (get a) (get b))
+      | I_or (a, b) -> push (Bv.or_ (get a) (get b))
+      | I_xor (a, b) -> push (Bv.xor (get a) (get b))
+      | I_not a -> push (Bv.not_ (get a))
+      | I_ite (a, b, c) ->
+          push (Bv.or_ (Bv.and_ (get a) (get b)) (Bv.and_ (Bv.not_ (get a)) (get c)))
+      | I_restrict (a, v, b) -> push (Bv.cofactor (get a) v b)
+      | I_disjoint _ -> ())
+    prog;
+  !regs
+
+let kernel_props =
+  let n = 7 in
+  [
+    prop "tiny computed table gives the same nodes and truth tables"
+      ~count:150 (gen_program n) (fun prog ->
+        let tiny = Bdd.manager ~cache_size:16 () and full = Bdd.manager () in
+        let rt, at = run_program tiny n prog and rf, af = run_program full n prog in
+        at = af
+        && List.for_all (fun (d, e) -> d = e) at
+        && Array.for_all2 (fun a b -> Bdd.id a = Bdd.id b) rt rf
+        && Array.for_all2
+             (fun a expected -> Bv.equal (Bv.of_bdd n a) expected)
+             rt (run_oracle n prog)
+        && Bdd.node_count tiny = Bdd.node_count full);
+  ]
+
+exception Abort
+
+let abort_tests =
+  [
+    Alcotest.test_case "growth hook abort leaves the manager canonical" `Quick
+      (fun () ->
+        let n = 16 in
+        let m = Bdd.manager ~cache_size:16 () in
+        let st = Random.State.make [| 7 |] in
+        let f = Bdd.random m ~nvars:n ~density:0.5 st in
+        let g = Bdd.random m ~nvars:n ~density:0.5 st in
+        Bdd.set_growth_hook m (Some (fun _ -> raise Abort));
+        check_bool "the hook aborted the operation" true
+          (match Bdd.xor m f g with _ -> false | exception Abort -> true);
+        Bdd.set_growth_hook m None;
+        let h = Bdd.xor m f g in
+        let h' =
+          Bdd.or_ m (Bdd.and_ m f (Bdd.not_ m g)) (Bdd.and_ m (Bdd.not_ m f) g)
+        in
+        check_bool "equal functions, equal nodes" true (Bdd.equal h h');
+        let expected = Bv.xor (Bv.of_bdd n f) (Bv.of_bdd n g) in
+        check_bool "truth table" true (Bv.equal expected (Bv.of_bdd n h));
+        check_bool "rebuilt from the truth table" true
+          (Bdd.equal h (Bv.to_bdd m expected)));
+  ]
+
 let suite =
-  basic_tests
-  @ List.map (fun p -> QCheck_alcotest.to_alcotest ~long:false p) oracle_props
+  basic_tests @ negative_index_tests @ abort_tests
+  @ List.map
+      (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
+      (oracle_props @ kernel_props)

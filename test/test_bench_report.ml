@@ -313,8 +313,26 @@ let test_write_load () =
       Sys.remove latest;
       Unix.rmdir dir
 
+(* Objects allocated before the window and promoted inside it must not
+   be subtracted from the run's allocation.  The explicit [Gc.minor]
+   stands for the minor collections a longer run meets on its own. *)
+let test_measure_exact () =
+  let unrelated = Sys.opaque_identity (List.init 20_000 (fun i -> (i, i))) in
+  let _, _, alloc =
+    R.measure (fun () ->
+        let a = Sys.opaque_identity (Array.make 100_000 0) in
+        Gc.minor ();
+        a)
+  in
+  Alcotest.(check int) "unrelated data kept" 20_000 (List.length unrelated);
+  if alloc < 790_000. || alloc > 810_000. then
+    Alcotest.failf "Array.make 100_000 measured as %.0f bytes, expected ~800 KB"
+      alloc
+
 let suite =
   [
+    Alcotest.test_case "measure counts only the run's allocation" `Quick
+      test_measure_exact;
     Alcotest.test_case "schema round trip" `Quick test_roundtrip;
     Alcotest.test_case "stats round trip" `Quick test_stats_roundtrip;
     Alcotest.test_case "stats JSON matches bench schema" `Quick

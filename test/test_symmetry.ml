@@ -201,6 +201,56 @@ let props =
         vars = [ 0; 1; 2; 3; 4 ]);
   ]
 
+(* The quadrant-cofactor pair tests against their definition on the
+   whole exchanged image [swap_rel]: f is symmetric iff f = sigma f; an
+   ISF is symmetrizable iff on /\ sigma off = 0 and sigma on /\ off = 0;
+   symmetrizing closes on- and off-set under sigma. *)
+let oracle_props =
+  let n = 5 in
+  let gen_isf =
+    let open QCheck2.Gen in
+    let+ cells = list_size (return (1 lsl n)) (int_range 0 2) in
+    let arr = Array.of_list cells in
+    let on = Bv.of_fun n (fun i -> arr.(i) = 1) in
+    let dc = Bv.of_fun n (fun i -> arr.(i) = 2) in
+    Isf.make man ~on:(Bv.to_bdd man on) ~dc:(Bv.to_bdd man dc)
+  in
+  let gen =
+    QCheck2.Gen.(
+      quad (list_size (int_range 1 2) gen_isf) (int_range 0 (n - 1))
+        (int_range 0 (n - 1)) bool)
+  in
+  let sigma ~rel i j g = Symmetry.swap_rel man g ~rel i j in
+  [
+    QCheck2.Test.make ~name:"quadrant pair tests agree with swap_rel" ~count:300
+      gen (fun (fs, i, j, rel) ->
+        let sym_def f = Bdd.equal f (sigma ~rel i j f) in
+        let symz_def f =
+          let on = Isf.on f and off = Isf.off man f in
+          Bdd.is_zero (Bdd.and_ man on (sigma ~rel i j off))
+          && Bdd.is_zero (Bdd.and_ man (sigma ~rel i j on) off)
+        in
+        let closed f =
+          let on = Isf.on f and off = Isf.off man f in
+          Isf.of_on_off man
+            ~on:(Bdd.or_ man on (sigma ~rel i j on))
+            ~off:(Bdd.or_ man off (sigma ~rel i j off))
+        in
+        let ons = List.map Isf.on fs in
+        let symmetrizable = i <> j && List.for_all symz_def fs in
+        Symmetry.symmetric_pair man ons ~rel i j
+        = (i <> j && List.for_all sym_def ons)
+        && Symmetry.symmetrizable man fs ~rel i j = symmetrizable
+        &&
+        match Symmetry.symmetrize man fs ~rel i j with
+        | None -> not symmetrizable
+        | Some fs' ->
+            symmetrizable
+            && List.for_all2 (fun f f' -> Isf.equal (closed f) f') fs fs');
+  ]
+
 let suite =
   detection_tests @ symmetrize_tests
-  @ List.map (fun p -> QCheck_alcotest.to_alcotest ~long:false p) props
+  @ List.map
+      (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
+      (props @ oracle_props)
