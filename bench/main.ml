@@ -15,7 +15,9 @@
    so they cannot disagree.
 
    Flags:
-     --out DIR           where BENCH_*.json land (default ".")
+     --out DIR           where BENCH_*.json land (default "_build/bench",
+                         git-ignored; pass "--out ." to refresh the
+                         committed BENCH_latest.json)
      --against FILE      diff this run against a baseline report;
                          exit 1 on stable-counter/quality regression
      --max-regress PCT   regression threshold for --against (default 10)
@@ -1364,7 +1366,7 @@ let parse_cli () =
     {
       sections = [];
       quick = false;
-      out_dir = ".";
+      out_dir = "_build/bench";
       against = None;
       max_regress = 10.0;
       json = false;

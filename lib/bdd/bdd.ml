@@ -574,33 +574,6 @@ let cofactor_vector m f vars =
   in
   Array.of_list (go f vars)
 
-let extend_cofactor_vector m vec vars v =
-  let p = List.length vars in
-  if Array.length vec <> 1 lsl p then
-    invalid_arg "Bdd.extend_cofactor_vector: length mismatch";
-  let rec ascending = function
-    | [] | [ _ ] -> true
-    | a :: (b :: _ as rest) -> a < b && ascending rest
-  in
-  if not (ascending vars) then
-    invalid_arg "Bdd.extend_cofactor_vector: vars not ascending";
-  if List.mem v vars then
-    invalid_arg "Bdd.extend_cofactor_vector: variable already bound";
-  (* [v] lands at position [k] of the ascending merge: the [k] variables
-     before it keep their (more significant) index bits, the rest shift
-     below the new bit. *)
-  let k = List.length (List.filter (fun u -> u < v) vars) in
-  let low_bits = p - k in
-  let mask = (1 lsl low_bits) - 1 in
-  let out = Array.make (2 lsl p) vec.(0) in
-  Array.iteri
-    (fun i f ->
-      let base = ((i lsr low_bits) lsl (low_bits + 1)) lor (i land mask) in
-      out.(base) <- restrict m f v false;
-      out.(base lor (1 lsl low_bits)) <- restrict m f v true)
-    vec;
-  out
-
 let of_vector m vars vec =
   let p = List.length vars in
   if Array.length vec <> 1 lsl p then invalid_arg "Bdd.of_vector: length mismatch";

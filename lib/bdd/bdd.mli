@@ -208,16 +208,6 @@ val cofactor_vector : manager -> t -> int list -> t array
     assignment where the {e first} variable of the list is the most
     significant bit of [i]. *)
 
-val extend_cofactor_vector : manager -> t array -> int list -> int -> t array
-(** [extend_cofactor_vector m vec vars v]: given [vec =
-    cofactor_vector m f vars] for strictly ascending [vars] not
-    containing [v], the cofactor vector of [f] w.r.t. the ascending
-    merge of [vars] and [v] — computed by splitting each cached
-    cofactor on [v] ([2^(p+1)] restricts of already-restricted, hence
-    small, BDDs) instead of recomputing the whole vector from the
-    root.  The workhorse of the bound-set search's incremental score
-    cache. *)
-
 val of_vector : manager -> int list -> t array -> t
 (** Inverse of {!cofactor_vector} for constant vectors generalized to
     functions: [of_vector m vars vec] builds the function whose cofactor

@@ -1,18 +1,91 @@
 let worst = Cost.worst
 
+(* [inter a b]: the common elements of two ascending lists. *)
+let rec inter a b =
+  match (a, b) with
+  | [], _ | _, [] -> []
+  | x :: xs, y :: ys ->
+      if x < y then inter xs b
+      else if y < x then inter a ys
+      else x :: inter xs ys
+
+(* [project bound sub proj] fills [proj.(i)], for every vertex index [i]
+   over [bound], with the index over the ascending subset [sub] that
+   keeps only [sub]'s bits (both in cofactor-vector order: the first
+   variable is the most significant bit). *)
+let project bound sub proj =
+  let len = ref 1 in
+  proj.(0) <- 0;
+  List.iter
+    (fun v ->
+      let keep = List.mem v sub in
+      (* downwards, so that slots 2u and 2u+1 are written only after
+         slot u has been read *)
+      for u = !len - 1 downto 0 do
+        let x = proj.(u) in
+        if keep then begin
+          proj.(2 * u) <- x lsl 1;
+          proj.((2 * u) + 1) <- (x lsl 1) lor 1
+        end
+        else begin
+          proj.(2 * u) <- x;
+          proj.((2 * u) + 1) <- x
+        end
+      done;
+      len := 2 * !len)
+    bound
+
+(* Number of distinct cofactor tuples over the vertices of [bound]:
+   partition refinement of the vertex set by each ISF's class array,
+   read through the projection onto the ISF's share of [bound], with the
+   classes renumbered through a (joint class, ISF class) table. *)
+let joint_classes bound vecs =
+  let nverts = 1 lsl List.length bound in
+  let joint = Array.make nverts 0 in
+  let proj = Array.make nverts 0 in
+  let count = ref 1 in
+  List.iter
+    (fun (sub, { Score_cache.classes; cofactors }) ->
+      let distinct = Array.length cofactors in
+      if distinct > 1 && !count < nverts then begin
+        let full = List.compare_lengths sub bound = 0 in
+        if not full then project bound sub proj;
+        let slot = Array.make (!count * distinct) (-1) in
+        let next = ref 0 in
+        for x = 0 to nverts - 1 do
+          let c = classes.(if full then x else proj.(x)) in
+          let k = (joint.(x) * distinct) + c in
+          let j = slot.(k) in
+          if j >= 0 then joint.(x) <- j
+          else begin
+            slot.(k) <- !next;
+            joint.(x) <- !next;
+            incr next
+          end
+        done;
+        count := !next
+      end)
+    vecs;
+  !count
+
 let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
-  let stats =
-    match cache with
-    | Some c -> Score_cache.stats c
-    | None -> ( match stats with Some s -> s | None -> Stats.create ())
+  (* Without a cache, a throwaway one: a single scoring path, minus the
+     score memo (whose fingerprint keys would be computed for nothing). *)
+  let memoize = Option.is_some cache in
+  let cache =
+    match cache with Some c -> c | None -> Score_cache.create ?stats ()
   in
+  let stats = Score_cache.stats cache in
   stats.Stats.score_calls <- stats.Stats.score_calls + 1;
+  (* Each ISF is scored over its share of the bound set: restricting on
+     a variable outside its support returns the ISF itself, so the
+     other variables only repeat its cofactors. *)
   let relevant =
     List.filter_map
       (fun f ->
-        let sup = Isf.support m f in
-        let overlap = List.length (List.filter (fun v -> List.mem v sup) bound) in
-        if overlap = 0 then None else Some (f, overlap))
+        match inter bound (Score_cache.support cache m f) with
+        | [] -> None
+        | sub -> Some (f, sub))
       isfs
   in
   (* A bound set no ISF depends on reduces nothing: decomposing against
@@ -23,49 +96,31 @@ let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
      whole selection. *)
   if relevant = [] then worst
   else begin
-    let keyed =
-      Option.map
-        (fun c ->
-          (c, Score_cache.score_key m ~lut_size ~cost (List.map fst relevant) bound))
-        cache
+    let key =
+      if memoize then
+        Some (Score_cache.score_key m ~lut_size ~cost (List.map fst relevant) bound)
+      else None
     in
-    let memo = Option.bind keyed (fun (c, key) -> Score_cache.find_score c key) in
-    match memo with
+    match Option.bind key (Score_cache.find_score cache) with
     | Some s ->
         stats.Stats.score_hits <- stats.Stats.score_hits + 1;
         s
     | None ->
-        let vector f =
-          match cache with
-          | Some c -> Score_cache.cofactor_vector c m f bound
-          | None -> Isf.cofactor_vector m f bound
-        in
         let vecs =
-          List.map (fun (f, overlap) -> (vector f, overlap)) relevant
-        in
-        let nverts = 1 lsl List.length bound in
-        let distinct_of vec =
-          let tbl = Hashtbl.create 8 in
-          for v = 0 to nverts - 1 do
-            Hashtbl.replace tbl (Bdd.id (Isf.on vec.(v)), Bdd.id (Isf.dc vec.(v))) ()
-          done;
-          Hashtbl.length tbl
+          List.map
+            (fun (f, sub) -> (sub, Score_cache.cofactor_vector cache m f sub))
+            relevant
         in
         let reduction =
           List.fold_left
-            (fun acc (vec, overlap) ->
-              acc + max 0 (overlap - Bits.ceil_log2 (distinct_of vec)))
+            (fun acc (sub, vec) ->
+              acc
+              + max 0
+                  (List.length sub
+                  - Bits.ceil_log2 (Array.length vec.Score_cache.cofactors)))
             0 vecs
         in
-        let joint =
-          let tbl = Hashtbl.create 8 in
-          for v = 0 to nverts - 1 do
-            Hashtbl.replace tbl
-              (List.map (fun (vec, _) -> (Bdd.id (Isf.on vec.(v)), Bdd.id (Isf.dc vec.(v)))) vecs)
-              ()
-          done;
-          Hashtbl.length tbl
-        in
+        let joint = joint_classes bound vecs in
         (* Net benefit: support reduction minus the realization cost of the
            decomposition functions.  ceil(log2 joint) is the paper's lower
            bound on how many distinct functions the step needs; each costs
@@ -93,7 +148,7 @@ let score ?cache ?stats ?(lut_size = max_int) ?(cost = Cost.area) m isfs bound =
            ordering collapses to the classical pair), the arrival time
            of the would-be decomposition functions under Delay. *)
         let result = Cost.triple cost ~bound pair in
-        Option.iter (fun (c, key) -> Score_cache.add_score c key result) keyed;
+        Option.iter (fun key -> Score_cache.add_score cache key result) key;
         result
   end
 

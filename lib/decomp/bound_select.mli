@@ -17,12 +17,15 @@ val score :
   int list ->
   int * int * int
 (** Candidate quality, lexicographically smaller = better.  With
-    [cache], cofactor vectors and whole scores are memoized (and scores
-    are keyed by [lut_size] and the objective's {!Cost.key_of}
-    fragment, so every scoring mode can share one cache without
-    mixing); the result is identical with and without a cache.
+    [cache], supports, cofactor vectors and whole scores are memoized
+    (and scores are keyed by [lut_size] and the objective's
+    {!Cost.key_of} fragment, so every scoring mode can share one cache
+    without mixing); without one, a throwaway cache serves the call and
+    no score is memoized.  The result is identical either way.
     Counters land in the cache's stats when a cache is given, else in
-    [stats] (else in a fresh throwaway).  A bound set that overlaps no
+    [stats] (else in a fresh throwaway).  Each ISF is scored over only
+    the bound variables in its support, which gives the same distinct
+    and joint counts as its full vector over the bound set.  A bound set that overlaps no
     ISF support scores worst-possible in every ordering — it reduces
     nothing, so it must never beat a genuine candidate.
 

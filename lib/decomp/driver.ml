@@ -304,7 +304,7 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
   let attempt primary region =
     let cfg = dcfg () in
     let participates it =
-      let sup = Isf.support m it.isf in
+      let sup = Score_cache.support cache m it.isf in
       List.exists (fun v -> List.mem v region) sup
       && List.length sup > cfg.Config.lut_size
     in
@@ -319,7 +319,7 @@ let decompose_report ?(cfg = Config.default) ?(budget = Budget.unlimited)
       let limit = 14 in
       if List.length region <= limit then region
       else begin
-        let supports = Array.map (Isf.support m) isfs in
+        let supports = Array.map (Score_cache.support cache m) isfs in
         let frequency v =
           Array.fold_left
             (fun acc sup -> if List.mem v sup then acc + 1 else acc)

@@ -332,20 +332,29 @@ let prune_fanins ?only fanins tt free =
   done;
   (!fanins, !tt, List.rev !dropped)
 
-(* One set of simultaneous decisions over one analysis.  Returns the
-   per-node decisions, the output redirections (duplicate output ->
-   representative output) and the action log. *)
+(* One entry of a pass's change log: a node decision, an output
+   redirection (duplicate output -> representative output), or the
+   action that closes the entries logged since the previous action. *)
+type change =
+  | Set of int * decision
+  | Redirect of string * string
+  | Act of action
+
+(* One set of simultaneous decisions over one analysis, as a
+   chronological change log: by rule (constants and dead nodes first,
+   fanin pruning last), then in topological order. *)
 let decide ~screened tier m net an =
   let name_of = namer net in
   let no_care = Bdd.is_zero an.an_care_any in
   let decisions = Hashtbl.create 64 in
   let redirects = ref [] in
-  let actions = ref [] in
-  let act rule s detail =
-    actions := { rule; node = name_of s; detail } :: !actions
-  in
+  let log = ref [] in
+  let act rule s detail = log := Act { rule; node = name_of s; detail } :: !log in
   let decided s = Hashtbl.mem decisions (Network.signal_id s) in
-  let set s d = Hashtbl.replace decisions (Network.signal_id s) d in
+  let set s d =
+    Hashtbl.replace decisions (Network.signal_id s) d;
+    log := Set (Network.signal_id s, d) :: !log
+  in
   let free_of f = match tier with Full -> f.fa_free | Safe -> f.fa_unreach in
   if not no_care then begin
     (* 1. constants and dead nodes *)
@@ -432,13 +441,14 @@ let decide ~screened tier m net an =
                 and d' = List.assoc name' (Network.outputs net) in
                 if same && not (Network.signal_equal d d') then begin
                   redirects := (name', name) :: !redirects;
-                  actions :=
-                    {
-                      rule = Merge_outputs;
-                      node = name';
-                      detail = Printf.sprintf "identical to output %s" name;
-                    }
-                    :: !actions
+                  log :=
+                    Act
+                      {
+                        rule = Merge_outputs;
+                        node = name';
+                        detail = Printf.sprintf "identical to output %s" name;
+                      }
+                    :: Redirect (name', name) :: !log
                 end
               end)
             rest;
@@ -561,9 +571,50 @@ let decide ~screened tier m net an =
                     end)
       an.an_facts
   end;
-  (decisions, !redirects, List.rev !actions)
+  List.rev !log
+
+(* The decisions, redirections and actions of a change log. *)
+let apply changes =
+  let decisions = Hashtbl.create 64 in
+  let redirects = ref [] and actions = ref [] in
+  List.iter
+    (function
+      | Set (id, d) -> Hashtbl.replace decisions id d
+      | Redirect (a, b) -> redirects := (a, b) :: !redirects
+      | Act a -> actions := a :: !actions)
+    changes;
+  (decisions, List.rev !redirects, List.rev !actions)
+
+let actions_in changes =
+  List.length (List.filter (function Act _ -> true | Set _ | Redirect _ -> false) changes)
+
+(* The changes up to and including the [n]-th action ([n >= 1]). *)
+let rec first_actions n = function
+  | [] -> []
+  | (Act _ as c) :: rest -> if n = 1 then [ c ] else c :: first_actions (n - 1) rest
+  | c :: rest -> c :: first_actions n rest
 
 (* ---- rebuild ---- *)
+
+(* [Network.add_lut] with inverter fanins absorbed: a fanin that is an
+   inverter of [a] is replaced by [a] with the table's column for it
+   flipped.  Folding constants and aliasing to complements can leave a
+   node as the complement of an inverter; without this the rebuilt
+   network keeps the double inversion, and no later pass removes it
+   (inputs have no facts to alias to). *)
+let add_lut out ~fanins ~tt =
+  let fanins = Array.of_list fanins in
+  let tt = ref tt in
+  Array.iteri
+    (fun k s ->
+      match Network.view out s with
+      | `Lut ([| a |], inv) when Bv.get inv 0 && not (Bv.get inv 1) ->
+          fanins.(k) <- a;
+          let t = !tt in
+          tt := Bv.of_fun (Bv.nvars t) (fun i -> Bv.get t (i lxor (1 lsl k)))
+      | `Input _ | `Const _ | `Lut _ -> ())
+    fanins;
+  Network.add_lut out ~fanins:(Array.to_list fanins) ~tt:!tt
 
 let rebuild net decisions redirects =
   let out = Network.create () in
@@ -601,15 +652,17 @@ let rebuild net decisions redirects =
           let ns =
             match Option.value ~default:Keep (Hashtbl.find_opt decisions i) with
             | Keep ->
-                Network.add_lut out
+                add_lut out
                   ~fanins:(List.map mapped (Array.to_list fanins))
                   ~tt
             | Const b -> Network.const out b
             | Alias (rep, complemented) ->
                 let r = mapped rep in
-                if complemented then Network.not_gate out r else r
+                if complemented then
+                  add_lut out ~fanins:[ r ] ~tt:(Bv.of_fun 1 (fun i -> i = 0))
+                else r
             | Retable (fanins', tt') ->
-                Network.add_lut out
+                add_lut out
                   ~fanins:(List.map mapped (Array.to_list fanins'))
                   ~tt:tt'
           in
@@ -672,31 +725,55 @@ let run ?care_of_output ?(max_passes = 4) ?(audit_engine = `Bdd)
         analyze_network ?care_of_output ~dataflow ~analysis_nodes
           ~analysis_timeout ?stats m ~var_of_input net
       in
+      let rejected = ref 0 in
+      let try_changes changes =
+        let decisions, redirects, acts = apply changes in
+        let cand = rebuild net decisions redirects in
+        (* a rewrite pass must never grow the network *)
+        if luts_of cand <= luts_of net && audit_candidate cand = [] then
+          Accepted (cand, acts)
+        else begin
+          incr rejected;
+          Rejected
+        end
+      in
       let attempt tier =
         let screened = ref 0 in
-        let decisions, redirects, acts = decide ~screened tier m net an in
+        let changes = decide ~screened tier m net an in
         (match stats with
         | Some st ->
             st.Stats.screened_out <- st.Stats.screened_out + !screened
         | None -> ());
-        if acts = [] then Nothing
-        else begin
-          let cand = rebuild net decisions redirects in
-          (* a rewrite pass must never grow the network *)
-          if luts_of cand > luts_of net then Rejected
-          else if audit_candidate cand = [] then Accepted (cand, acts)
-          else Rejected
-        end
+        let n = actions_in changes in
+        if n = 0 then Nothing
+        else
+          match (try_changes changes, tier) with
+          | ((Accepted _ | Nothing) as r), _ | (Rejected as r), Safe -> r
+          | Rejected, Full ->
+              (* Individually sound ODC rewrites need not compose.
+                 Rather than drop them all for the safe tier, bisect for
+                 the longest accepted prefix of the change log (the
+                 rules in priority order); the next pass re-analyzes
+                 the result and finds what is still valid. *)
+              let rec search ok lo hi =
+                if hi - lo <= 1 then ok
+                else
+                  let mid = (lo + hi) / 2 in
+                  match try_changes (first_actions mid changes) with
+                  | Accepted _ as a -> search a mid hi
+                  | Rejected | Nothing -> search ok lo mid
+              in
+              search Rejected 0 n
       in
       match attempt Full with
-      | Accepted (cand, acts) -> loop cand (passes + 1) reverted (actions @ acts)
+      | Accepted (cand, acts) ->
+          loop cand (passes + 1) (reverted + !rejected) (actions @ acts)
       | Nothing -> (net, passes, reverted, actions)
       | Rejected -> (
           match attempt Safe with
           | Accepted (cand, acts) ->
-              loop cand (passes + 1) (reverted + 1) (actions @ acts)
-          | Nothing -> (net, passes, reverted + 1, actions)
-          | Rejected -> (net, passes, reverted + 2, actions))
+              loop cand (passes + 1) (reverted + !rejected) (actions @ acts)
+          | Nothing | Rejected -> (net, passes, reverted + !rejected, actions))
     end
   in
   let net, passes, reverted, actions = loop net0 0 0 [] in

@@ -18,10 +18,14 @@
     - complete don't cares refill table rows to drop redundant fanins
       (the node is re-expressed with its enlarged DC set).
 
-    A candidate that fails the audit is rejected and the pass retried
-    with only the composition-safe rewrites (pure satisfiability don't
-    cares and exact functional duplicates); if even that fails, the
-    loop stops with the last audited network.  The result is therefore
+    A candidate that fails the audit is rejected.  Individually sound
+    rewrites need not compose, so the pass then bisects for the longest
+    accepted prefix of its rewrites (in the rule order above, constants
+    first); if no prefix passes, it is retried with only the
+    composition-safe rewrites (pure satisfiability don't cares and exact
+    functional duplicates); if even that fails, the loop stops with the
+    last audited network.  The rebuild absorbs inverters into the LUTs
+    they feed, so no rewrite leaves a double inversion behind.  The result is therefore
     provably equivalent to the input on the care set — the audit is the
     safety net, not the rewrite derivation. *)
 

@@ -1,23 +1,26 @@
-(** Memoized cofactor vectors and bound-set scores.
+(** Memoized supports, cofactor vectors and bound-set scores.
 
     The bound-set search evaluates [Bound_select.score] on many
     overlapping candidates: greedy growth scores every extension of the
     current candidate, Curtis retries rescore supersets, and successive
     driver iterations revisit the same (unchanged) ISFs.  A cache
-    instance persists across all of them and is keyed canonically by
-    {e function fingerprints} ({!Bdd.fingerprint}) — an ISF is the pair
-    of digests of its on- and dc-sets — so entries of rewritten ISFs
-    are unreachable rather than stale.  {!retain} drops entries of dead
-    ISFs to bound memory after the driver commits a step.
+    instance persists across all of them.  {!retain} drops entries of
+    dead ISFs to bound memory after the driver commits a step.
 
-    Fingerprints are manager-independent, so a cache {e outlives} any
-    single {!Bdd.manager}: scores computed in one run are valid hits
-    for a later run that builds the same functions in a fresh manager
-    (the serve daemon's cross-request reuse, and the qcheck property
-    [cache-hit score = fresh score across two managers]).  Cofactor
-    vectors, by contrast, hold manager-tied {!Isf.t} values: the vector
-    table is automatically flushed when the cache is used with a
-    manager other than the one that filled it. *)
+    Scores are keyed canonically by {e function fingerprints}
+    ({!Bdd.fingerprint}) — an ISF is the pair of digests of its on- and
+    dc-sets — so entries of rewritten ISFs are unreachable rather than
+    stale.  Fingerprints are manager-independent, so the score memo
+    {e outlives} any single {!Bdd.manager}: scores computed in one run
+    are valid hits for a later run that builds the same functions in a
+    fresh manager (the serve daemon's cross-request reuse, and the
+    qcheck property [cache-hit score = fresh score across two
+    managers]).
+
+    Supports and cofactor vectors, by contrast, are keyed by node ids
+    and hold manager-tied {!Isf.t} values: both tables are
+    automatically flushed when the cache is used with a manager other
+    than the one that filled them. *)
 
 type t
 
@@ -28,14 +31,31 @@ val create : ?stats:Stats.t -> unit -> t
 
 val stats : t -> Stats.t
 
-val cofactor_vector : t -> Bdd.manager -> Isf.t -> int list -> Isf.t array
-(** Memoized {!Isf.cofactor_vector} for an ascending bound set.  On a
-    miss the vector is built by {!Isf.extend_cofactor_vector} from the
-    nearest cached subset (every intermediate prefix is cached too), so
-    growing searches pay one variable's worth of restricts per new
-    candidate instead of a full recomputation.  Switching managers
-    flushes the vector table (vectors are manager-tied); scores are
-    kept. *)
+val support : t -> Bdd.manager -> Isf.t -> int list
+(** Memoized {!Isf.support}. *)
+
+type vector = {
+  classes : int array;
+      (** one entry per vertex, in {!Isf.cofactor_vector} order (the
+          first variable is the most significant bit of the vertex
+          index): the index of the vertex's cofactor in [cofactors] *)
+  cofactors : Isf.t array;  (** the distinct cofactors *)
+}
+(** A cofactor vector with its classes: vertex [i]'s cofactor is
+    [cofactors.(classes.(i))], and [Array.length cofactors] is the
+    number of distinct cofactors. *)
+
+val cofactor_vector : t -> Bdd.manager -> Isf.t -> int list -> vector
+(** Memoized {!Isf.cofactor_vector} for an ascending variable list, in
+    class form.  Callers pass only variables of the ISF's support (the
+    vector over any other variable repeats each entry), which lets
+    candidates that differ outside the support share one entry.  On a
+    miss the vector is built from the nearest cached subset (every
+    intermediate prefix is cached too) by splitting each of its distinct
+    cofactors on the missing variable, so growing searches pay one
+    variable's worth of restricts per new candidate, and only for the
+    distinct cofactors, instead of a full recomputation.  Switching
+    managers flushes the vector and support tables; scores are kept. *)
 
 type score_key
 
@@ -62,6 +82,7 @@ val retain : t -> Bdd.manager -> live:Isf.t list -> unit
 (** Drop every entry that mentions an ISF outside [live].  Called by
     the driver after a committed step rewrites participant ISFs; pure
     memory hygiene — lookups of dead keys cannot collide with live
-    ones because fingerprints identify functions exactly. *)
+    ones because fingerprints (and, within one manager, node ids)
+    identify functions exactly. *)
 
 val clear : t -> unit

@@ -158,37 +158,46 @@ let mark ck name =
    missing counters default to zero, so a newer reader accepts an
    older run object. *)
 
+type direction = Lower | Higher
+
 let counter_fields =
-  (* name, getter, setter — one list drives to_json, of_json and the
-     bench diff's notion of "every counter". *)
+  (* name, direction, getter, setter — one list drives to_json, of_json
+     and the bench diff's notion of "every counter".  Hit and
+     screening counters measure reuse: more of them is better. *)
   [
-    ("score_calls", (fun t -> t.score_calls), fun t v -> t.score_calls <- v);
-    ("score_hits", (fun t -> t.score_hits), fun t v -> t.score_hits <- v);
-    ("cof_lookups", (fun t -> t.cof_lookups), fun t v -> t.cof_lookups <- v);
-    ("cof_hits", (fun t -> t.cof_hits), fun t v -> t.cof_hits <- v);
-    ("cof_extends", (fun t -> t.cof_extends), fun t v -> t.cof_extends <- v);
-    ("cof_fresh", (fun t -> t.cof_fresh), fun t v -> t.cof_fresh <- v);
-    ("restricts", (fun t -> t.restricts), fun t v -> t.restricts <- v);
-    ("retains", (fun t -> t.retains), fun t v -> t.retains <- v);
-    ("evicted", (fun t -> t.evicted), fun t v -> t.evicted <- v);
-    ("budget_checks", (fun t -> t.budget_checks), fun t v -> t.budget_checks <- v);
-    ("result_hits", (fun t -> t.result_hits), fun t v -> t.result_hits <- v);
-    ("result_misses", (fun t -> t.result_misses), fun t v -> t.result_misses <- v);
-    ("sem_nodes", (fun t -> t.sem_nodes), fun t v -> t.sem_nodes <- v);
-    ("sem_truncations", (fun t -> t.sem_truncations), fun t v -> t.sem_truncations <- v);
-    ("sat_calls", (fun t -> t.sat_calls), fun t v -> t.sat_calls <- v);
-    ("sat_conflicts", (fun t -> t.sat_conflicts), fun t v -> t.sat_conflicts <- v);
-    ("windows_built", (fun t -> t.windows_built), fun t v -> t.windows_built <- v);
-    ("df_iterations", (fun t -> t.df_iterations), fun t v -> t.df_iterations <- v);
-    ("df_facts", (fun t -> t.df_facts), fun t v -> t.df_facts <- v);
-    ("screened_out", (fun t -> t.screened_out), fun t v -> t.screened_out <- v);
+    ("score_calls", Lower, (fun t -> t.score_calls), fun t v -> t.score_calls <- v);
+    ("score_hits", Higher, (fun t -> t.score_hits), fun t v -> t.score_hits <- v);
+    ("cof_lookups", Lower, (fun t -> t.cof_lookups), fun t v -> t.cof_lookups <- v);
+    ("cof_hits", Higher, (fun t -> t.cof_hits), fun t v -> t.cof_hits <- v);
+    ("cof_extends", Lower, (fun t -> t.cof_extends), fun t v -> t.cof_extends <- v);
+    ("cof_fresh", Lower, (fun t -> t.cof_fresh), fun t v -> t.cof_fresh <- v);
+    ("restricts", Lower, (fun t -> t.restricts), fun t v -> t.restricts <- v);
+    ("retains", Lower, (fun t -> t.retains), fun t v -> t.retains <- v);
+    ("evicted", Lower, (fun t -> t.evicted), fun t v -> t.evicted <- v);
+    ("budget_checks", Lower, (fun t -> t.budget_checks), fun t v -> t.budget_checks <- v);
+    ("result_hits", Higher, (fun t -> t.result_hits), fun t v -> t.result_hits <- v);
+    ("result_misses", Lower, (fun t -> t.result_misses), fun t v -> t.result_misses <- v);
+    ("sem_nodes", Lower, (fun t -> t.sem_nodes), fun t v -> t.sem_nodes <- v);
+    ("sem_truncations", Lower, (fun t -> t.sem_truncations), fun t v -> t.sem_truncations <- v);
+    ("sat_calls", Lower, (fun t -> t.sat_calls), fun t v -> t.sat_calls <- v);
+    ("sat_conflicts", Lower, (fun t -> t.sat_conflicts), fun t v -> t.sat_conflicts <- v);
+    ("windows_built", Lower, (fun t -> t.windows_built), fun t v -> t.windows_built <- v);
+    ("df_iterations", Lower, (fun t -> t.df_iterations), fun t v -> t.df_iterations <- v);
+    ("df_facts", Higher, (fun t -> t.df_facts), fun t v -> t.df_facts <- v);
+    ("screened_out", Higher, (fun t -> t.screened_out), fun t v -> t.screened_out <- v);
   ]
 
-let counter_names = List.map (fun (name, _, _) -> name) counter_fields
+let counter_names = List.map (fun (name, _, _, _) -> name) counter_fields
+
+let counter_direction name =
+  match List.find_opt (fun (n, _, _, _) -> n = name) counter_fields with
+  | Some (_, dir, _, _) -> dir
+  | None ->
+      invalid_arg (Printf.sprintf "Stats.counter_direction: unknown counter %S" name)
 
 let counter t name =
-  match List.find_opt (fun (n, _, _) -> n = name) counter_fields with
-  | Some (_, get, _) -> get t
+  match List.find_opt (fun (n, _, _, _) -> n = name) counter_fields with
+  | Some (_, _, get, _) -> get t
   | None -> invalid_arg (Printf.sprintf "Stats.counter: unknown counter %S" name)
 
 let to_json t =
@@ -201,7 +210,7 @@ let to_json t =
     |> List.map (fun (name, dt) -> (name, Json.Num dt))
   in
   Json.Obj
-    (List.map (fun (name, get, _) -> (name, Json.int (get t))) counter_fields
+    (List.map (fun (name, _, get, _) -> (name, Json.int (get t))) counter_fields
     @ [
         ( "degradations",
           Json.Arr
@@ -221,7 +230,7 @@ let of_json j =
   | Json.Obj _ ->
       let t = create () in
       List.iter
-        (fun (name, _, set) ->
+        (fun (name, _, _, set) ->
           set t (Option.value ~default:0 (Json.mem_int name j)))
         counter_fields;
       let events key ka kb kc add =

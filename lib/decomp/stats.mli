@@ -117,6 +117,14 @@ val counter_names : string list
     diff iterates this list, so a counter added to {!t} (and to the
     internal field table) is gated automatically. *)
 
+type direction =
+  | Lower  (** work done: a rise is a regression *)
+  | Higher  (** reuse (cache hits, screened-out work): a drop is a regression *)
+
+val counter_direction : string -> direction
+(** Which way a counter improves, by schema field name.
+    @raise Invalid_argument on names not in {!counter_names}. *)
+
 val counter : t -> string -> int
 (** Read a counter by its schema field name.
     @raise Invalid_argument on names not in {!counter_names}. *)

@@ -35,8 +35,11 @@ let join m a b =
 let assign_all_zero m t = { t with dc = Bdd.zero m }
 let assign_all_one m t = { on = Bdd.or_ m t.on t.dc; dc = Bdd.zero m }
 
+(* Cofactors of a valid ISF are disjoint by construction — a cofactor
+   of [on /\ dc = 0] is [on|v /\ dc|v = 0] — so they skip [make]'s
+   check (and so do the [cofactor_vector] entries built from them). *)
 let restrict m t v b =
-  make m ~on:(Bdd.restrict m t.on v b) ~dc:(Bdd.restrict m t.dc v b)
+  { on = Bdd.restrict m t.on v b; dc = Bdd.restrict m t.dc v b }
 
 let cofactor_vector m t vars =
   let rec go t = function
@@ -44,11 +47,6 @@ let cofactor_vector m t vars =
     | v :: rest -> go (restrict m t v false) rest @ go (restrict m t v true) rest
   in
   Array.of_list (go t vars)
-
-let extend_cofactor_vector m vec vars v =
-  let ons = Bdd.extend_cofactor_vector m (Array.map on vec) vars v in
-  let dcs = Bdd.extend_cofactor_vector m (Array.map dc vec) vars v in
-  Array.map2 (fun on dc -> make m ~on ~dc) ons dcs
 
 let swap_vars m t i j =
   make m ~on:(Bdd.swap_vars m t.on i j) ~dc:(Bdd.swap_vars m t.dc i j)

@@ -51,11 +51,6 @@ val restrict : Bdd.manager -> t -> int -> bool -> t
 val cofactor_vector : Bdd.manager -> t -> int list -> t array
 (** ISF counterpart of {!Bdd.cofactor_vector}. *)
 
-val extend_cofactor_vector : Bdd.manager -> t array -> int list -> int -> t array
-(** ISF counterpart of {!Bdd.extend_cofactor_vector}: extend a cofactor
-    vector for ascending [vars] to the ascending merge with one more
-    variable by splitting each cached cofactor. *)
-
 val swap_vars : Bdd.manager -> t -> int -> int -> t
 val negate_var : Bdd.manager -> t -> int -> t
 val support : Bdd.manager -> t -> int list

@@ -460,6 +460,13 @@ let run_metrics (r : run) =
         | n -> Some ("stats." ^ name, float_of_int n))
       Stats.counter_names
 
+(* Quality metrics, allocation and work counters improve downwards;
+   the reuse counters ({!Stats.counter_direction} [Higher]) upwards. *)
+let higher_is_better metric =
+  match String.split_on_char '.' metric with
+  | [ "stats"; name ] -> Stats.counter_direction name = Stats.Higher
+  | _ -> false
+
 let change_pct ~base ~current =
   if base = 0.0 then if current = 0.0 then 0.0 else 100.0
   else (current -. base) /. base *. 100.0
@@ -518,11 +525,14 @@ let diff ~base ~current ~max_regress =
                             (List.assoc_opt metric cmetrics)
                         in
                         let pct = change_pct ~base:b ~current:c in
+                        let worse =
+                          if higher_is_better metric then -.pct else pct
+                        in
                         if abs_float (c -. b) > floor_of metric then
-                          if pct > max_regress then
+                          if worse > max_regress then
                             regressions :=
                               delta bsec.name key metric b c :: !regressions
-                          else if pct < -.max_regress then
+                          else if worse < -.max_regress then
                             improvements :=
                               delta bsec.name key metric b c :: !improvements)
                       (run_metrics brun))

@@ -139,9 +139,10 @@ type delta = {
 type verdict = {
   threshold : float;  (** the [max_regress] percentage used *)
   regressions : delta list;
-      (** stable metrics that grew beyond threshold + noise floor *)
+      (** stable metrics that got worse beyond threshold + noise floor:
+          grew, or shrank for a reuse counter *)
   improvements : delta list;
-      (** stable metrics that shrank beyond the same margin *)
+      (** stable metrics that got better beyond the same margin *)
   advisories : delta list;
       (** wall-clock changes (either direction) — never gate *)
   missing : string list;
@@ -153,7 +154,10 @@ val diff : base:report -> current:report -> max_regress:float -> verdict
 (** Match runs by (section name, run name, algorithm).  Gate on LUT and
     CLB counts, [alloc_bytes], [bdd_nodes] and every {!Stats} counter
     ({!Stats.counter_names}); each metric has an absolute noise floor
-    so a ±1 blip on a tiny counter cannot fail CI.  Runs with
+    so a ±1 blip on a tiny counter cannot fail CI.  Every metric is
+    lower-is-better except the reuse counters whose
+    {!Stats.counter_direction} is [Higher] (cache hits, dataflow facts,
+    screened-out work): for those a drop is the regression.  Runs with
     [stable = false] only produce advisories. *)
 
 val verdict_ok : verdict -> bool

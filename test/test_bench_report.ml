@@ -222,6 +222,35 @@ let test_diff_noise_floor () =
   let v = R.diff ~base ~current ~max_regress:10.0 in
   Alcotest.(check bool) "x2 over the floor fails" false (R.verdict_ok v)
 
+(* Reuse counters improve upwards: more cache hits is an improvement,
+   fewer a regression; a work counter ([restricts]) still regresses
+   when it rises. *)
+let test_diff_counter_direction () =
+  let diff_with f =
+    let s = mk_stats () in
+    f s;
+    R.diff ~base:(mk_report ())
+      ~current:(mk_report ~sections:[ mk_section ~runs:[ mk_run ~stats:s () ] () ] ())
+      ~max_regress:10.0
+  in
+  let has metric ds = List.exists (fun d -> d.R.metric = metric) ds in
+  let v = diff_with (fun s -> s.Stats.score_hits <- 900) in
+  Alcotest.(check bool) "hit rise passes" true (R.verdict_ok v);
+  Alcotest.(check bool) "hit rise is an improvement" true
+    (has "stats.score_hits" v.R.improvements);
+  let v = diff_with (fun s -> s.Stats.score_hits <- 300) in
+  Alcotest.(check bool) "hit drop fails" false (R.verdict_ok v);
+  Alcotest.(check bool) "hit drop is a regression" true
+    (has "stats.score_hits" v.R.regressions);
+  let v = diff_with (fun s -> s.Stats.restricts <- 2400) in
+  Alcotest.(check bool) "restricts rise fails" false (R.verdict_ok v);
+  Alcotest.(check bool) "restricts rise is a regression" true
+    (has "stats.restricts" v.R.regressions);
+  Alcotest.(check bool) "every reuse counter is higher-is-better" true
+    (List.for_all
+       (fun name -> Stats.counter_direction name = Stats.Higher)
+       [ "score_hits"; "cof_hits"; "result_hits"; "df_facts"; "screened_out" ])
+
 let test_diff_missing () =
   let base =
     mk_report
@@ -344,6 +373,8 @@ let suite =
       test_diff_regression;
     Alcotest.test_case "diff: counter regression, unstable exemption" `Quick
       test_diff_counter_regression;
+    Alcotest.test_case "diff: reuse counters improve upwards" `Quick
+      test_diff_counter_direction;
     Alcotest.test_case "diff: absolute noise floor" `Quick test_diff_noise_floor;
     Alcotest.test_case "diff: missing coverage fails" `Quick test_diff_missing;
     Alcotest.test_case "diff: improvements and wall advisories" `Quick

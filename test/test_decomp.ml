@@ -384,19 +384,118 @@ let score_cache_props =
         let fresh2 = Bound_select.score ~lut_size:5 m2 isfs2 bound in
         let s2 = Bound_select.score ~cache ~lut_size:5 m2 isfs2 bound in
         s1 = s2 && fresh2 = s2 && stats.Stats.score_hits > hits_before);
-    QCheck2.Test.make ~name:"extend_cofactor_vector = cofactor_vector"
-      ~count:200
-      QCheck2.Gen.(pair (gen_isf 6) (pair (int_range 1 63) (int_range 0 5)))
-      (fun (f, (mask, vpos)) ->
-        let all = bound_of_mask mask in
-        (* remove one variable of the set, then extend back with it *)
-        let v = List.nth all (vpos mod List.length all) in
-        let vars = List.filter (fun u -> u <> v) all in
-        let base = Isf.cofactor_vector man f vars in
-        let extended = Isf.extend_cofactor_vector man base vars v in
-        let direct = Isf.cofactor_vector man f all in
-        Array.length extended = Array.length direct
-        && Array.for_all2 Isf.equal extended direct);
+    (* A cached vector in class form reads back as the plain cofactor
+       vector, with one class per distinct cofactor — whether it was
+       built cold or split from a cached subset. *)
+    QCheck2.Test.make ~name:"cached vector = cofactor_vector" ~count:200
+      QCheck2.Gen.(pair (gen_isf 6) (pair (int_range 1 63) (int_range 1 63)))
+      (fun (f, (mask1, mask2)) ->
+        let cache = Score_cache.create () in
+        List.for_all
+          (fun mask ->
+            let vars = bound_of_mask mask in
+            let { Score_cache.classes; cofactors } =
+              Score_cache.cofactor_vector cache man f vars
+            in
+            let direct = Isf.cofactor_vector man f vars in
+            let ids g = (Bdd.id (Isf.on g), Bdd.id (Isf.dc g)) in
+            Array.length classes = Array.length direct
+            && Array.for_all2
+                 (fun c g -> Isf.equal cofactors.(c) g)
+                 classes direct
+            && List.length (List.sort_uniq compare (Array.to_list (Array.map ids cofactors)))
+               = Array.length cofactors)
+          [ mask1; mask1 lor mask2; mask2 ]);
+  ]
+
+(* Reference scorer: the whole 2^|B| cofactor vector of every ISF, with
+   distinct and joint counts over (on id, dc id) pairs.  [Bound_select]
+   scores each ISF over only the bound variables in its support; this
+   oracle splits on every bound variable. *)
+let reference_score ~lut_size ~cost m isfs bound =
+  let relevant =
+    List.filter_map
+      (fun f ->
+        let sup = Isf.support m f in
+        let overlap = List.length (List.filter (fun v -> List.mem v sup) bound) in
+        if overlap = 0 then None else Some (Isf.cofactor_vector m f bound, overlap))
+      isfs
+  in
+  if relevant = [] then Cost.worst
+  else begin
+    let nverts = 1 lsl List.length bound in
+    let ids f = (Bdd.id (Isf.on f), Bdd.id (Isf.dc f)) in
+    let count key =
+      let tbl = Hashtbl.create 8 in
+      for v = 0 to nverts - 1 do
+        Hashtbl.replace tbl (key v) ()
+      done;
+      Hashtbl.length tbl
+    in
+    let reduction =
+      List.fold_left
+        (fun acc (vec, overlap) ->
+          acc + max 0 (overlap - Bits.ceil_log2 (count (fun v -> ids vec.(v)))))
+        0 relevant
+    in
+    let joint = count (fun v -> List.map (fun (vec, _) -> ids vec.(v)) relevant) in
+    let p = List.length bound in
+    let realization =
+      if p <= lut_size then 0
+      else Bits.ceil_log2 joint * (1 + ((p - 2) / max 1 (lut_size - 1)))
+    in
+    let pair =
+      if lut_size <= 3 then (-(reduction - realization), joint)
+      else (joint + realization, -reduction)
+    in
+    Cost.triple cost ~bound pair
+  end
+
+(* Random multi-output ISFs over variables -3 .. 4 (negative indices are
+   the driver's alpha variables), each on its own random subset of at
+   most four of them, so the supports only partly overlap a bound set. *)
+let projection_props =
+  let pool = [ -3; -2; -1; 0; 1; 2; 3; 4 ] in
+  let pick mask = List.filteri (fun i _ -> (mask lsr i) land 1 = 1) pool in
+  let gen_sparse_isf =
+    let open QCheck2.Gen in
+    let* vars =
+      map (fun mask -> List.filteri (fun i _ -> i < 4) (pick mask)) (int_range 1 255)
+    in
+    let+ cells = list_size (return (1 lsl List.length vars)) (int_range 0 2) in
+    let cells_of k =
+      List.concat
+        (List.mapi
+           (fun code c -> if c = k then [ Bdd.minterm_of_code man vars code ] else [])
+           cells)
+      |> Bdd.or_list man
+    in
+    Isf.make man ~on:(cells_of 1) ~dc:(cells_of 2)
+  in
+  let gen =
+    let open QCheck2.Gen in
+    let* nouts = int_range 1 3 in
+    let* isfs = list_size (return nouts) gen_sparse_isf in
+    let* masks = list_size (int_range 1 4) (int_range 1 255) in
+    let* lut_size = oneofl [ 2; 3; 5 ] in
+    let+ objective = oneofl [ Cost.Area; Cost.Delay; Cost.Balanced ] in
+    (isfs, List.map (fun mask -> List.filteri (fun i _ -> i < 6) (pick mask)) masks,
+     lut_size, objective)
+  in
+  [
+    QCheck2.Test.make ~name:"projected score equals full-vector reference"
+      ~count:300 gen (fun (isfs, bounds, lut_size, objective) ->
+        let cost = Cost.make objective ~arrival:(fun v -> abs (v * 7) mod 3) in
+        let cache = Score_cache.create () in
+        (* several bound sets through one cache: later ones hit or extend
+           the vectors of earlier ones *)
+        List.for_all
+          (fun bound ->
+            let expected = reference_score ~lut_size ~cost man isfs bound in
+            Bound_select.score ~lut_size ~cost man isfs bound = expected
+            && Bound_select.score ~cache ~lut_size ~cost man isfs bound = expected
+            && Bound_select.score ~cache ~lut_size ~cost man isfs bound = expected)
+          bounds);
   ]
 
 let bits_tests =
@@ -600,5 +699,5 @@ let suite =
   @ bits_tests @ bound_select_tests @ stats_tests @ clb_tests
   @ List.map
       (fun p -> QCheck_alcotest.to_alcotest ~long:false p)
-      (classes_props @ encode_props @ score_cache_props
+      (classes_props @ encode_props @ score_cache_props @ projection_props
       @ [ step_recompose_prop ] @ driver_props)

@@ -153,6 +153,18 @@ let isf_props =
     prop "support of isf contained in var range" (gen_isf n) (fun pair ->
         let f = isf_of_pair pair in
         List.for_all (fun v -> v >= 0 && v < n) (Isf.support man f));
+    (* Restricts (and the cofactor vectors built from them) skip
+       [Isf.make]'s disjointness check: it must hold by construction. *)
+    prop "restricts and cofactor vectors stay disjoint"
+      QCheck2.Gen.(pair (gen_isf n) (int_range 1 ((1 lsl n) - 1)))
+      (fun (pair, mask) ->
+        let f = isf_of_pair pair in
+        let disjoint g = Bdd.disjoint man (Isf.on g) (Isf.dc g) in
+        let vars = List.filter (fun v -> (mask lsr v) land 1 = 1) (List.init n Fun.id) in
+        List.for_all
+          (fun v -> disjoint (Isf.restrict man f v false) && disjoint (Isf.restrict man f v true))
+          (List.init n Fun.id)
+        && Array.for_all disjoint (Isf.cofactor_vector man f vars));
   ]
 
 let suite =

@@ -104,6 +104,29 @@ let unit_tests =
         let o = Optimize.run ~audit_engine:`Sat m (dups_net ()) in
         check_int "after" 3 o.Optimize.luts_after;
         check_bool "audit clean" true (o.Optimize.audit = []));
+    (* Random cones whose care = x0 run used to end with more LUTs than
+       the full-care run: 39878 lost all its ODC rewrites to the safe
+       tier when their composition failed the audit, 1620 kept a double
+       inversion. *)
+    Alcotest.test_case "care-set runs no worse than full care (regressions)"
+      `Quick (fun () ->
+        List.iter
+          (fun seed ->
+            let fresh () =
+              Randnet.cones ~ninputs:5 ~noutputs:2 ~window:4 ~gates_per_output:5
+                ~seed ()
+            in
+            let m = Bdd.manager () in
+            let care = Bdd.var m 0 in
+            let o = Optimize.run ~care_of_output:(fun _ -> care) m (fresh ()) in
+            let full = Optimize.run m (fresh ()) in
+            check_bool
+              (Printf.sprintf "seed %d: %d LUTs with care x0, %d with full care"
+                 seed o.Optimize.luts_after full.Optimize.luts_after)
+              true
+              (o.Optimize.luts_after <= full.Optimize.luts_after);
+            check_bool "audit clean" true (o.Optimize.audit = []))
+          [ 39878; 1620 ]);
     Alcotest.test_case "stats mirror the analysis counters" `Quick (fun () ->
         let m = Bdd.manager () in
         let stats = Stats.create () in
